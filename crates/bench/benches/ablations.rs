@@ -1,4 +1,6 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for the design choices documented in the SPaC-tree,
+//! P-Orth and sorting crate docs (`crates/spac/src/lib.rs`,
+//! `crates/porth/src/lib.rs`, `crates/parutils/src/sort.rs`):
 //!
 //! * **unsorted leaves** — SPaC-trees vs the same tree forced to keep leaves
 //!   totally ordered (the CPAM behaviour); the paper's central ablation,

@@ -71,15 +71,8 @@ fn run_cell(
         },
         factory,
     ));
-    let net = NetServer::spawn(
-        Arc::clone(&server),
-        loopback(),
-        NetConfig {
-            transport,
-            coalesce: true,
-        },
-    )
-    .expect("bind loopback");
+    let net = NetServer::spawn(Arc::clone(&server), loopback(), NetConfig { transport })
+        .expect("bind loopback");
     let spec = FanoutSpec {
         connections,
         ..spec_base.clone()
@@ -249,9 +242,8 @@ fn main() {
          \"coalesce_max_batch\": {},\n  \"workers\": {},\n  \"fd_budget\": {},\n  \
          \"note\": \"closed-loop fan-out over real loopback TCP (psi-net wire protocol); every \
          connection has one request in flight, so conns = concurrent outstanding requests at the \
-         coalescer; checksum_ok = socket replies bit-identical to in-process replay; measured on \
-         a 1-core container — qps reflects protocol+coalescer overhead, not parallel query \
-         speedup\",\n  \"transports\": [\n{}\n  ]\n}}\n",
+         coalescer; checksum_ok = socket replies bit-identical to in-process replay; qps reflects \
+         protocol+coalescer overhead, not parallel query speedup\",\n  \"transports\": [\n{}\n  ]\n}}\n",
         psi_bench::host_meta_json(),
         family,
         n,

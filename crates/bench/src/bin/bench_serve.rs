@@ -429,9 +429,8 @@ fn main() {
         "{{\n  \"bench\": \"serve_closed_loop\",\n  {},\n  \"n\": {},\n  \
          \"ops_per_client\": {},\n  \"shards\": {},\n  \"coalesce_max_batch\": {},\n  \"k\": {},\n  \
          \"note\": \"closed-loop clients over psi-server (epoch snapshots + coalescer + shard router); \
-         move batches conserve the live count (checked); measured on a 1-core container — client \
-         counts above machine_threads time-share and cannot show scaling; rerun on a multi-core box \
-         for real speedups; publish_latency compares the left-right double-copy protocol against \
+         move batches conserve the live count (checked); client counts above machine_threads \
+         time-share and cannot show scaling; publish_latency compares the left-right double-copy protocol against \
          persistent CoW snapshot publication, a reader pin re-taken around each publish; \
          fsync_sweep pushes identical move batches through a durable server per FsyncPolicy, \
          latencies read from the WAL's psi-obs histograms\",\n  \

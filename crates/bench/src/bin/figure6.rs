@@ -3,7 +3,8 @@
 //! The paper uses COSMO (317M 3-D points) and OSM North America (776M 2-D
 //! points); this repository substitutes the synthetic stand-ins
 //! `workloads::cosmo_like` and `workloads::osm_like` that reproduce their
-//! clustering structure (see DESIGN.md). For each index: build time,
+//! clustering structure (see the `psi-workloads` crate docs,
+//! `crates/workloads/src/lib.rs`). For each index: build time,
 //! incremental insertion/deletion with 0.01% batches, 10-NN (InD) and
 //! range-list query time after construction.
 //!

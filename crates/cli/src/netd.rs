@@ -33,9 +33,6 @@ pub struct NetdConfig {
     pub coalesce: usize,
     /// Socket front-end flavour.
     pub transport: Transport,
-    /// `false` routes queries through per-request direct handles instead of
-    /// the coalescer (the `--direct` flag).
-    pub coalesced: bool,
     /// Coordinate type of the synthetic dataset.
     pub coords: CoordKind,
     /// Dimensionality (2 or 3).
@@ -68,7 +65,6 @@ impl Default for NetdConfig {
             shards: 2,
             coalesce: 32,
             transport: Transport::Evented,
-            coalesced: true,
             coords: CoordKind::I64,
             dims: 2,
             n: 100_000,
@@ -96,7 +92,6 @@ pub fn usage() -> &'static str {
      --shards N          spatial shards (default 2)\n\
      --coalesce N        coalescing window, requests per flush (default 32)\n\
      --transport NAME    threaded | evented (default evented)\n\
-     --direct            bypass the coalescer (per-request direct handles)\n\
      --coords KIND       i64 | f64 (default i64)\n\
      --dims D            2 | 3 (default 2)\n\
      --n N               synthetic dataset size (default 100000)\n\
@@ -148,7 +143,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<NetdConfig, String> {
                     format!("--transport: expected threaded or evented, got {v:?}")
                 })?;
             }
-            "--direct" => cfg.coalesced = false,
             "--coords" => {
                 cfg.coords = match value(flag, &mut it)? {
                     "i64" => CoordKind::I64,
@@ -333,7 +327,6 @@ fn boot_typed<T: ServeCoord + WireCoord, const D: usize>(
         cfg.addr,
         NetConfig {
             transport: cfg.transport,
-            coalesce: cfg.coalesced,
         },
     )
     .map_err(|e| format!("bind {}: {e}", cfg.addr))?;
@@ -353,11 +346,7 @@ fn boot_typed<T: ServeCoord + WireCoord, const D: usize>(
         cfg.distribution.name(),
         cfg.shards,
         cfg.transport.name(),
-        if cfg.coalesced {
-            cfg.coalesce.to_string()
-        } else {
-            "off".to_string()
-        },
+        cfg.coalesce,
         if server.is_durable() {
             cfg.fsync.name()
         } else {
@@ -387,7 +376,6 @@ mod tests {
         let cfg = parse_args::<&str>(&[]).unwrap();
         assert_eq!(cfg.family, "pkd");
         assert_eq!(cfg.transport, Transport::Evented);
-        assert!(cfg.coalesced);
 
         let cfg = parse_args(&[
             "--addr",
@@ -400,7 +388,6 @@ mod tests {
             "8",
             "--transport",
             "threaded",
-            "--direct",
             "--coords",
             "f64",
             "--dims",
@@ -420,7 +407,6 @@ mod tests {
         assert_eq!(cfg.shards, 4);
         assert_eq!(cfg.coalesce, 8);
         assert_eq!(cfg.transport, Transport::Threaded);
-        assert!(!cfg.coalesced);
         assert_eq!(cfg.coords, CoordKind::F64);
         assert_eq!(cfg.dims, 3);
         assert_eq!(cfg.n, 5000);
@@ -553,8 +539,8 @@ mod tests {
     }
 
     #[test]
-    fn direct_mode_serves_f64() {
-        let cfg = parse_args(&["--n", "1000", "--coords", "f64", "--direct"]).unwrap();
+    fn serves_f64() {
+        let cfg = parse_args(&["--n", "1000", "--coords", "f64"]).unwrap();
         let running = boot(&cfg).unwrap();
         let mut client: WireClient<f64, 2> = WireClient::connect(running.addr()).unwrap();
         let hits = client.knn(&Point::new([1.0, 2.0]), 3).unwrap();

@@ -230,15 +230,8 @@ fn serve_typed<T: ServeCoord + WireCoord, const D: usize>(
                 ServeTransport::Threaded => Transport::Threaded,
                 _ => Transport::Evented,
             };
-            let net = NetServer::spawn(
-                Arc::clone(&server),
-                loopback(),
-                NetConfig {
-                    transport,
-                    coalesce: true,
-                },
-            )
-            .map_err(|e| format!("serve phase: bind loopback: {e}"))?;
+            let net = NetServer::spawn(Arc::clone(&server), loopback(), NetConfig { transport })
+                .map_err(|e| format!("serve phase: bind loopback: {e}"))?;
             let addr = net.addr();
             let out = closed_loop_with(&server, data, queries, rects, &spec, |_| {
                 let client: WireClient<T, D> =

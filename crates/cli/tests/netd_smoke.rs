@@ -83,7 +83,7 @@ fn netd_rejects_bad_flags() {
 
 #[test]
 fn netd_writes_survive_over_f64_direct() {
-    let (mut child, addr) = spawn_netd(&["--coords", "f64", "--direct", "--shards", "3"]);
+    let (mut child, addr) = spawn_netd(&["--coords", "f64", "--shards", "3"]);
     let mut client: WireClient<f64, 2> = WireClient::connect(addr).expect("connect");
     assert_eq!(client.shards(), 3);
     let hits = client.knn(&Point::new([10.0, 10.0]), 4).expect("knn");

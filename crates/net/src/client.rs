@@ -1,21 +1,24 @@
 //! A blocking wire-protocol client.
 //!
 //! [`WireClient`] owns one TCP connection: `connect` performs the hello
-//! exchange, after which the convenience calls (`knn`, `range_count`, …)
-//! run one request/reply round trip each. For pipelined use — the fan-out
-//! load generator keeps one request in flight on each of thousands of
-//! connections — `send`/`recv` split the round trip.
+//! exchange, after which every read is one [`WireClient::query`] round
+//! trip — the server's own [`Query`] in, its [`Answer`] out, time travel
+//! included (an evicted epoch is [`Answer::EpochGone`], not an I/O error).
+//! `knn`, `range_count` and `range_list` are thin wrappers over it. For
+//! pipelined use — the fan-out load generator keeps one request in flight
+//! on each of thousands of connections — `send`/`recv` split the round
+//! trip.
 //!
-//! The client also implements [`psi_server::QueryClient`], so
-//! `psi_server::loadgen::closed_loop_with` can drive real sockets through
-//! the exact closed-loop driver (and conservation checks) used in-process.
+//! Through `query` the client also implements [`psi_server::QueryClient`],
+//! so `psi_server`'s closed-loop load generator (and its conservation
+//! checks) runs over real sockets exactly as it runs in-process.
 
 use crate::wire::{
     decode_reply, encode_request, read_frame, Reply, Request, WireCoord, ERR_BUSY, ERR_EPOCH,
     MAX_FRAME, PAYLOAD_HEADER,
 };
 use psi_geometry::{Point, Rect};
-use psi_server::{QueryClient, ServeCoord};
+use psi_server::{Answer, Query, QueryClient, ServeCoord};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -32,6 +35,10 @@ pub struct WireClient<T: WireCoord, const D: usize> {
 
 fn bad_reply(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.to_string())
+}
+
+fn server_error(code: u16, message: &str) -> io::Error {
+    io::Error::other(format!("server error {code}: {message}"))
 }
 
 impl<T: WireCoord, const D: usize> WireClient<T, D> {
@@ -101,109 +108,43 @@ impl<T: WireCoord, const D: usize> WireClient<T, D> {
         Ok(reply)
     }
 
-    fn query(&mut self, req: Request<T, D>) -> io::Result<Reply<T, D>> {
+    /// One round trip whose error frames become `Err`.
+    fn call_ok(&mut self, req: Request<T, D>) -> io::Result<Reply<T, D>> {
         match self.call(&req)? {
-            Reply::Error { code, message } => {
-                Err(io::Error::other(format!("server error {code}: {message}")))
-            }
+            Reply::Error { code, message } => Err(server_error(code, &message)),
             ok => Ok(ok),
         }
     }
 
-    /// Like [`WireClient::query`], but an [`ERR_EPOCH`] reply — the pinned
-    /// epoch fell off the server's history window — becomes `Ok(None)`
-    /// instead of an error; the connection stays usable either way.
-    fn query_at(&mut self, req: Request<T, D>) -> io::Result<Option<Reply<T, D>>> {
-        match self.call(&req)? {
-            Reply::Error { code, .. } if code == ERR_EPOCH => Ok(None),
-            Reply::Error { code, message } => {
-                Err(io::Error::other(format!("server error {code}: {message}")))
-            }
-            ok => Ok(Some(ok)),
+    /// Answer one query on the server. An [`ERR_EPOCH`] reply — the pinned
+    /// epoch is outside the server's history window — is
+    /// [`Answer::EpochGone`]; the connection stays usable either way.
+    pub fn query(&mut self, query: Query<T, D>) -> io::Result<Answer<T, D>> {
+        match self.call(&Request::from(query))? {
+            Reply::Points(p) => Ok(Answer::Points(p)),
+            Reply::Count(c) => Ok(Answer::Count(c as usize)),
+            Reply::Error { code, .. } if code == ERR_EPOCH => Ok(Answer::EpochGone),
+            Reply::Error { code, message } => Err(server_error(code, &message)),
+            _ => Err(bad_reply("query answered with a non-query reply")),
         }
     }
 
     /// The `k` nearest stored neighbours of `q`, closest first.
     pub fn knn(&mut self, q: &Point<T, D>, k: usize) -> io::Result<Vec<Point<T, D>>> {
-        match self.query(Request::Knn {
-            q: *q,
-            k: k as u32,
-            at: None,
-        })? {
-            Reply::Points(p) => Ok(p),
-            _ => Err(bad_reply("knn answered with a non-points reply")),
-        }
-    }
-
-    /// `knn` against the snapshot published at `epoch`. `Ok(None)` means the
-    /// epoch is outside the server's retained history window.
-    pub fn knn_at(
-        &mut self,
-        q: &Point<T, D>,
-        k: usize,
-        epoch: u64,
-    ) -> io::Result<Option<Vec<Point<T, D>>>> {
-        match self.query_at(Request::Knn {
-            q: *q,
-            k: k as u32,
-            at: Some(epoch),
-        })? {
-            None => Ok(None),
-            Some(Reply::Points(p)) => Ok(Some(p)),
-            Some(_) => Err(bad_reply("knn answered with a non-points reply")),
-        }
+        (self.query(Query::knn(*q, k))?.points())
+            .ok_or_else(|| bad_reply("knn answered with a non-points reply"))
     }
 
     /// Number of stored points in the closed box.
     pub fn range_count(&mut self, rect: &Rect<T, D>) -> io::Result<usize> {
-        match self.query(Request::RangeCount {
-            rect: *rect,
-            at: None,
-        })? {
-            Reply::Count(c) => Ok(c as usize),
-            _ => Err(bad_reply("range_count answered with a non-count reply")),
-        }
-    }
-
-    /// `range_count` against the snapshot published at `epoch`; `Ok(None)`
-    /// when that epoch has been evicted from the history window.
-    pub fn range_count_at(&mut self, rect: &Rect<T, D>, epoch: u64) -> io::Result<Option<usize>> {
-        match self.query_at(Request::RangeCount {
-            rect: *rect,
-            at: Some(epoch),
-        })? {
-            None => Ok(None),
-            Some(Reply::Count(c)) => Ok(Some(c as usize)),
-            Some(_) => Err(bad_reply("range_count answered with a non-count reply")),
-        }
+        (self.query(Query::range_count(*rect))?.count())
+            .ok_or_else(|| bad_reply("range_count answered with a non-count reply"))
     }
 
     /// The stored points in the closed box (shard order).
     pub fn range_list(&mut self, rect: &Rect<T, D>) -> io::Result<Vec<Point<T, D>>> {
-        match self.query(Request::RangeList {
-            rect: *rect,
-            at: None,
-        })? {
-            Reply::Points(p) => Ok(p),
-            _ => Err(bad_reply("range_list answered with a non-points reply")),
-        }
-    }
-
-    /// `range_list` against the snapshot published at `epoch`; `Ok(None)`
-    /// when that epoch has been evicted from the history window.
-    pub fn range_list_at(
-        &mut self,
-        rect: &Rect<T, D>,
-        epoch: u64,
-    ) -> io::Result<Option<Vec<Point<T, D>>>> {
-        match self.query_at(Request::RangeList {
-            rect: *rect,
-            at: Some(epoch),
-        })? {
-            None => Ok(None),
-            Some(Reply::Points(p)) => Ok(Some(p)),
-            Some(_) => Err(bad_reply("range_list answered with a non-points reply")),
-        }
+        (self.query(Query::range_list(*rect))?.points())
+            .ok_or_else(|| bad_reply("range_list answered with a non-points reply"))
     }
 
     /// The `(oldest, newest)` epochs the server can still answer pinned
@@ -211,7 +152,7 @@ impl<T: WireCoord, const D: usize> WireClient<T, D> {
     /// snapshot mode). `newest` is the currently published epoch, so this
     /// doubles as a cheap "what epoch are you at" probe.
     pub fn epoch_bounds(&mut self) -> io::Result<Option<(u64, u64)>> {
-        match self.query(Request::EpochBounds)? {
+        match self.call_ok(Request::EpochBounds)? {
             Reply::EpochBounds(b) => Ok(b),
             _ => Err(bad_reply("epoch_bounds answered with an unexpected reply")),
         }
@@ -221,7 +162,7 @@ impl<T: WireCoord, const D: usize> WireClient<T, D> {
     /// version plus the Prometheus-style text rendering of every metric the
     /// server has registered.
     pub fn stats(&mut self) -> io::Result<(u32, String)> {
-        match self.query(Request::Stats)? {
+        match self.call_ok(Request::Stats)? {
             Reply::Stats { version, text } => Ok((version, text)),
             _ => Err(bad_reply("stats answered with a non-stats reply")),
         }
@@ -265,9 +206,7 @@ impl<T: WireCoord, const D: usize> WireClient<T, D> {
                 Reply::Error { code, .. } if code == ERR_BUSY => {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
-                Reply::Error { code, message } => {
-                    return Err(io::Error::other(format!("server error {code}: {message}")))
-                }
+                Reply::Error { code, message } => return Err(server_error(code, &message)),
                 _ => return Err(bad_reply("apply_batch answered with an unexpected reply")),
             }
         }
@@ -281,13 +220,7 @@ impl<T: WireCoord, const D: usize> WireClient<T, D> {
 }
 
 impl<T: WireCoord + ServeCoord, const D: usize> QueryClient<T, D> for WireClient<T, D> {
-    fn knn(&mut self, q: &Point<T, D>, k: usize) -> Vec<Point<T, D>> {
-        WireClient::knn(self, q, k).expect("wire client knn I/O")
-    }
-    fn range_count(&mut self, rect: &Rect<T, D>) -> usize {
-        WireClient::range_count(self, rect).expect("wire client range_count I/O")
-    }
-    fn range_list(&mut self, rect: &Rect<T, D>) -> Vec<Point<T, D>> {
-        WireClient::range_list(self, rect).expect("wire client range_list I/O")
+    fn query(&mut self, query: Query<T, D>) -> Answer<T, D> {
+        WireClient::query(self, query).expect("wire client query I/O")
     }
 }

@@ -6,9 +6,9 @@
 //! * **reads** drain the socket into the connection's read buffer, then peel
 //!   complete frames off it (`wire::frame_size`); partial frames simply stay
 //!   buffered until more bytes arrive,
-//! * **query frames** are enqueued to the coalescer with a *callback*
-//!   completion ([`psi_server::Completion::Callback`]) — the flusher thread
-//!   encodes the reply, drops it into the shared outbox, and kicks the
+//! * **query frames** are enqueued to the coalescer with a callback
+//!   ([`psi_server::CoalesceHandle::submit`]) — the flusher thread encodes
+//!   the reply, drops it into the shared outbox, and kicks the
 //!   reactor through a wakeup socketpair; the reactor routes the bytes to
 //!   the connection's write buffer on its next iteration,
 //! * **writes** flush the write buffer until the socket would block, arming
@@ -24,15 +24,14 @@
 //! answers every queued request; the answers for dead connections just fall
 //! on the floor.
 
+use crate::dispatch::{dispatch, encode_frame, record_latency, slow_shape, Dispatch};
 use crate::epoll::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::listener::{answer_blocking, describe_request, reply_epoch_gone, reply_too_large};
-use crate::obs::{net_obs, op_name};
+use crate::obs::net_obs;
 use crate::wire::{
-    check_hello, decode_request, encode_reply, frame_size, Reply, Request, WireCoord, WireError,
-    ERR_BUSY, LEN_PREFIX,
+    check_hello, decode_request, frame_size, Reply, Request, WireCoord, WireError, LEN_PREFIX,
 };
-use crate::{Backend, Ctx, NetStats};
-use psi_server::{Completion, QueryOp, QueryReply, ServeCoord};
+use crate::{Ctx, NetStats};
+use psi_server::ServeCoord;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -350,150 +349,46 @@ impl<T: ServeCoord + WireCoord, const D: usize> Reactor<T, D> {
     }
 
     fn handle_request(&mut self, idx: usize, req_id: u64, req: Request<T, D>, t0: Instant) {
-        let hello_done = self.conns[idx].as_ref().expect("live conn").hello_done;
-        if !hello_done {
-            let opcode = req.opcode();
-            match check_hello(&req, self.ctx.shards) {
-                Ok(ok) => {
-                    self.answer_now(idx, &ok, opcode, req_id, t0);
-                    self.conns[idx].as_mut().expect("live conn").hello_done = true;
-                }
-                Err(err) => {
-                    self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    self.answer_now(idx, &err, opcode, req_id, t0);
-                    self.poison(idx);
-                }
+        let opcode = req.opcode();
+        if !self.conns[idx].as_ref().expect("live conn").hello_done {
+            let hello = check_hello(&req, self.ctx.shards);
+            let failed = hello.is_err();
+            self.queue_reply(idx, &hello.unwrap_or_else(|e| e), opcode, req_id);
+            record_latency(opcode, t0, None);
+            if failed {
+                self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                self.poison(idx);
+            } else {
+                self.conns[idx].as_mut().expect("live conn").hello_done = true;
             }
             return;
         }
-        let opcode = req.opcode();
-        // The direct (non-coalesced) backend answers inline on the reactor
-        // thread — each query pins a fresh view; there is nothing to wait
-        // on, so blocking semantics are trivially nonblocking here.
-        let coalesced = match &self.ctx.backend {
-            Backend::Coalesced(h) => Some(h.clone()),
-            Backend::Direct(_) => None,
+        let shape = slow_shape(&req);
+        let query = match dispatch(&self.ctx, req) {
+            Dispatch::Reply(reply) => {
+                self.queue_reply(idx, &reply, opcode, req_id);
+                return record_latency(opcode, t0, shape);
+            }
+            Dispatch::Query(query) => query,
         };
-        let Some(handle) = coalesced else {
-            let reply = answer_blocking(&self.ctx, req);
-            self.answer_now(idx, &reply, opcode, req_id, t0);
-            return;
-        };
-        // Slow-query log: build the shape before `req` is consumed, and only
-        // while the log is enabled (one relaxed load).
-        let slow_shape = (psi_obs::slowlog::threshold_ns() > 0).then(|| describe_request(&req));
-        let op = match req {
-            Request::Hello { .. } => {
-                let reply = match check_hello(&req, self.ctx.shards) {
-                    Ok(ok) | Err(ok) => ok,
-                };
-                self.answer_now(idx, &reply, opcode, req_id, t0);
-                return;
-            }
-            Request::EpochBounds => {
-                // Answered inline: one mutex-guarded peek at the history
-                // log, nothing worth a coalescer round-trip.
-                let reply: Reply<T, D> =
-                    Reply::EpochBounds(self.ctx.server.router().epoch_bounds());
-                self.answer_now(idx, &reply, opcode, req_id, t0);
-                return;
-            }
-            Request::Stats => {
-                // Inline too: collection walks the registry under its mutex,
-                // but never touches the serving path.
-                let reply: Reply<T, D> = Reply::Stats {
-                    version: psi_obs::SNAPSHOT_VERSION,
-                    text: psi_obs::render_prometheus(),
-                };
-                self.answer_now(idx, &reply, opcode, req_id, t0);
-                return;
-            }
-            Request::ApplyBatch { delete, insert } => {
-                let reply = match self.ctx.server.try_submit(delete, insert) {
-                    Ok(()) => Reply::BatchOk,
-                    Err(_) => Reply::Error {
-                        code: ERR_BUSY,
-                        message: "update queue full, retry".to_string(),
-                    },
-                };
-                self.answer_now(idx, &reply, opcode, req_id, t0);
-                return;
-            }
-            Request::Knn { q, k, at } => {
-                if k == 0 {
-                    self.answer_now(idx, &Reply::Points(Vec::new()), opcode, req_id, t0);
-                    return;
-                }
-                (QueryOp::Knn(q, k as usize), at)
-            }
-            Request::RangeCount { rect, at } => (QueryOp::RangeCount(rect), at),
-            Request::RangeList { rect, at } => (QueryOp::RangeList(rect), at),
-        };
-        let (op, at) = op;
         let outbox = Arc::clone(&self.outbox);
         let wake = Arc::clone(&self.wake_tx);
         let gen = self.gens[idx];
-        handle.submit_at(
-            op,
-            at,
-            Completion::Callback(Box::new(move |answer| {
-                let reply: Reply<T, D> = match answer {
-                    QueryReply::Points(p) => Reply::Points(p),
-                    QueryReply::Count(c) => Reply::Count(c as u64),
-                    QueryReply::EpochGone => reply_epoch_gone(),
-                };
-                let mut bytes = Vec::new();
-                if encode_reply(&reply, opcode, req_id, &mut bytes).is_err() {
-                    let substitute = reply_too_large::<T, D>();
-                    encode_reply(&substitute, opcode, req_id, &mut bytes)
-                        .expect("error frames fit one frame");
-                    net_obs().count_reply(opcode, &substitute);
-                } else {
-                    net_obs().count_reply(opcode, &reply);
-                }
-                // Latency ends at reply hand-off: the flusher finished the
-                // query and the encoded frame is on its way to the reactor.
-                let dt = t0.elapsed();
-                net_obs().request_latency(opcode).record_duration(dt);
-                if let Some(shape) = slow_shape {
-                    psi_obs::slowlog::observe(op_name(opcode), dt.as_nanos() as u64, || shape);
-                }
-                outbox.lock().unwrap().push((idx, gen, bytes));
-                // A full wakeup pipe means a kick is already pending.
-                let _ = (&*wake).write(&[1]);
-            })),
-        );
-    }
-
-    /// Queue an inline reply and record its decode-to-hand-off latency.
-    fn answer_now(
-        &mut self,
-        idx: usize,
-        reply: &Reply<T, D>,
-        opcode: u8,
-        req_id: u64,
-        t0: Instant,
-    ) {
-        self.queue_reply(idx, reply, opcode, req_id);
-        net_obs()
-            .request_latency(opcode)
-            .record_duration(t0.elapsed());
+        self.ctx.client.submit(query, move |answer| {
+            let mut bytes = Vec::new();
+            encode_frame(&Reply::from(answer), opcode, req_id, &mut bytes);
+            // Latency ends at reply hand-off: the flusher finished the
+            // query and the encoded frame is on its way to the reactor.
+            record_latency(opcode, t0, shape);
+            outbox.lock().unwrap().push((idx, gen, bytes));
+            // A full wakeup pipe means a kick is already pending.
+            let _ = (&*wake).write(&[1]);
+        });
     }
 
     fn queue_reply(&mut self, idx: usize, reply: &Reply<T, D>, opcode: u8, req_id: u64) {
         let conn = self.conns[idx].as_mut().expect("live conn");
-        let at = conn.wbuf.len();
-        if encode_reply(reply, opcode, req_id, &mut conn.wbuf).is_err() {
-            // Rolled back to `at`: substitute a typed too-large error so the
-            // client still gets an answer for this req_id.
-            debug_assert_eq!(conn.wbuf.len(), at);
-            let substitute = reply_too_large::<T, D>();
-            encode_reply(&substitute, opcode, req_id, &mut conn.wbuf)
-                .expect("error frames fit one frame");
-            net_obs().count_reply(opcode, &substitute);
-        } else {
-            net_obs().count_reply(opcode, reply);
-        }
+        encode_frame(reply, opcode, req_id, &mut conn.wbuf);
     }
 
     fn write_ready(&mut self, idx: usize) {

@@ -11,24 +11,27 @@
 //!   fine up to a few hundred connections) and [`Transport::Evented`]
 //!   (a nonblocking epoll reactor — see [`epoll`] — that multiplexes
 //!   thousands of connections onto one thread),
-//! * [`client::WireClient`] — a blocking protocol client that also
-//!   implements [`psi_server::QueryClient`], so `psi_server`'s closed-loop
-//!   load generator can drive real sockets with the same conservation and
-//!   shape checks it applies in-process,
+//! * [`client::WireClient`] — a blocking protocol client whose one
+//!   [`query`](client::WireClient::query) method speaks the server's
+//!   [`Query`](psi_server::Query) / [`Answer`](psi_server::Answer) types,
+//!   so it also implements [`psi_server::QueryClient`] and `psi_server`'s
+//!   closed-loop load generator can drive real sockets with the same
+//!   conservation and shape checks it applies in-process,
 //! * [`loadgen`] — a multiplexed fan-out driver for connection counts far
 //!   beyond thread-per-client (thousands of connections per worker thread),
 //!   with order-independent FNV answer checksums and an in-process replay
 //!   to verify socket answers bit-for-bit.
 //!
-//! Query frames feed the server's [coalescer](psi_server::CoalesceHandle):
-//! the evented transport enqueues with a callback completion so reactor
-//! threads never block on the flusher, which is what lets one reactor
-//! thread keep thousands of connections in flight while the flusher turns
-//! them into large epoch-consistent batches. A `coalesce = false` hook
-//! routes queries through [`psi_server::DirectHandle`] instead (a fresh
-//! router-view pin per query) to measure what coalescing buys.
+//! Both transports route a decoded request the same way: control ops
+//! (hello, epoch bounds, stats, apply-batch) are answered inline, and the
+//! three query ops become a [`Query`](psi_server::Query) for the server's
+//! [coalescer](psi_server::CoalesceHandle). The evented transport enqueues
+//! with a callback so reactor threads never block on the flusher, which is
+//! what lets one reactor thread keep thousands of connections in flight
+//! while the flusher turns them into large epoch-consistent batches.
 
 pub mod client;
+mod dispatch;
 pub mod epoll;
 mod event_loop;
 mod listener;
@@ -36,7 +39,7 @@ pub mod loadgen;
 mod obs;
 pub mod wire;
 
-use psi_server::{PsiServer, ServeCoord};
+use psi_server::{CoalesceHandle, PsiServer, ServeCoord};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
@@ -82,32 +85,12 @@ impl Transport {
 pub struct NetConfig {
     /// Connection multiplexing strategy.
     pub transport: Transport,
-    /// Route queries through the coalescer (default) or the direct
-    /// per-query fast path (`false`).
-    pub coalesce: bool,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             transport: Transport::Evented,
-            coalesce: true,
-        }
-    }
-}
-
-/// How a transport answers query frames: through the coalescer (batched,
-/// epoch-consistent per flush) or the direct per-query pin.
-pub(crate) enum Backend<T: ServeCoord, const D: usize> {
-    Coalesced(psi_server::CoalesceHandle<T, D>),
-    Direct(psi_server::DirectHandle<T, D>),
-}
-
-impl<T: ServeCoord, const D: usize> Clone for Backend<T, D> {
-    fn clone(&self) -> Self {
-        match self {
-            Backend::Coalesced(h) => Backend::Coalesced(h.clone()),
-            Backend::Direct(h) => Backend::Direct(h.clone()),
         }
     }
 }
@@ -115,7 +98,7 @@ impl<T: ServeCoord, const D: usize> Clone for Backend<T, D> {
 /// Everything a connection handler needs, cheap to clone into threads.
 pub(crate) struct Ctx<T: ServeCoord + WireCoord, const D: usize> {
     pub server: Arc<PsiServer<T, D>>,
-    pub backend: Backend<T, D>,
+    pub client: CoalesceHandle<T, D>,
     pub shards: u32,
 }
 
@@ -123,7 +106,7 @@ impl<T: ServeCoord + WireCoord, const D: usize> Clone for Ctx<T, D> {
     fn clone(&self) -> Self {
         Ctx {
             server: Arc::clone(&self.server),
-            backend: self.backend.clone(),
+            client: self.client.clone(),
             shards: self.shards,
         }
     }
@@ -169,16 +152,10 @@ impl NetServer {
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let backend = if cfg.coalesce {
-            Backend::Coalesced(server.client())
-        } else {
-            Backend::Direct(server.direct_client())
-        };
-        let shards = server.router().shard_count() as u32;
         let ctx = Ctx {
+            client: server.client(),
+            shards: server.router().shard_count() as u32,
             server,
-            backend,
-            shards,
         };
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(NetStats::default());

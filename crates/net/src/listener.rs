@@ -4,12 +4,12 @@
 //! which is comfortable into the hundreds of connections; past that the
 //! evented transport takes over (see `event_loop`).
 
+use crate::dispatch::{dispatch, encode_frame, record_latency, slow_shape, Dispatch};
 use crate::obs::net_obs;
 use crate::wire::{
-    check_hello, decode_request, encode_reply, read_frame, Reply, Request, WireCoord, WireError,
-    ERR_BUSY, ERR_EPOCH, ERR_TOO_LARGE,
+    check_hello, decode_request, encode_reply, read_frame, Reply, WireCoord, WireError,
 };
-use crate::{Backend, Ctx, NetStats};
+use crate::{Ctx, NetStats};
 use psi_server::ServeCoord;
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -130,14 +130,7 @@ fn serve_conn<T: ServeCoord + WireCoord, const D: usize>(
             Ok(ok) => ok,
             Err(e) => {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let reply: Reply<T, D> = Reply::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                };
-                net_obs().count_reply(0, &reply);
-                out.clear();
-                encode_reply(&reply, 0, 0, &mut out).expect("error frames fit one frame");
-                let _ = stream.write_all(&out);
+                send_error::<T, D>(&mut stream, &mut out, e.code(), &e);
                 return Ok(());
             }
         };
@@ -146,10 +139,8 @@ fn serve_conn<T: ServeCoord + WireCoord, const D: usize>(
         if !hello_done {
             let reply = check_hello(&req, ctx.shards);
             let failed = reply.is_err();
-            let reply = reply.unwrap_or_else(|e| e);
-            net_obs().count_reply(opcode, &reply);
             out.clear();
-            encode_reply(&reply, opcode, req_id, &mut out).expect("hello frames fit one frame");
+            encode_frame(&reply.unwrap_or_else(|e| e), opcode, req_id, &mut out);
             stream.write_all(&out)?;
             if failed {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -158,27 +149,18 @@ fn serve_conn<T: ServeCoord + WireCoord, const D: usize>(
             hello_done = true;
             continue;
         }
-        // Slow-query log: the shape string is only built while the log is
-        // enabled (one relaxed load), and only recorded past the threshold.
-        let slow_shape = (psi_obs::slowlog::threshold_ns() > 0).then(|| describe_request(&req));
-        let reply = answer_blocking(ctx, req);
+        let shape = slow_shape(&req);
+        // Blocking on the coalescer is exactly right here: the thread *is*
+        // the connection, and a parked thread is how the flusher
+        // accumulates its batch.
+        let reply = match dispatch(ctx, req) {
+            Dispatch::Reply(reply) => reply,
+            Dispatch::Query(query) => ctx.client.query(query).into(),
+        };
         out.clear();
-        if encode_reply(&reply, opcode, req_id, &mut out).is_err() {
-            // The reply outgrew the frame cap (e.g. a huge range-list):
-            // answer with a typed error instead; the connection stays open.
-            let substitute = reply_too_large();
-            encode_reply::<T, D>(&substitute, opcode, req_id, &mut out)
-                .expect("error frames fit one frame");
-            net_obs().count_reply(opcode, &substitute);
-        } else {
-            net_obs().count_reply(opcode, &reply);
-        }
+        encode_frame(&reply, opcode, req_id, &mut out);
         stream.write_all(&out)?;
-        let dt = t0.elapsed();
-        net_obs().request_latency(opcode).record_duration(dt);
-        if let Some(shape) = slow_shape {
-            psi_obs::slowlog::observe(crate::obs::op_name(opcode), dt.as_nanos() as u64, || shape);
-        }
+        record_latency(opcode, t0, shape);
     }
 }
 
@@ -196,105 +178,4 @@ fn send_error<T: WireCoord, const D: usize>(
     out.clear();
     encode_reply(&reply, 0, 0, out).expect("error frames fit one frame");
     let _ = stream.write_all(out);
-}
-
-/// The slow-query-log shape of a request: enough detail to reproduce the
-/// query's cost class (k, epoch pin, batch sizes) without logging payloads.
-pub(crate) fn describe_request<T: WireCoord, const D: usize>(req: &Request<T, D>) -> String {
-    match req {
-        Request::Hello { .. } => "hello".to_string(),
-        Request::Knn { k, at, .. } => match at {
-            Some(e) => format!("k={k} at={e}"),
-            None => format!("k={k}"),
-        },
-        Request::RangeCount { at, .. } | Request::RangeList { at, .. } => match at {
-            Some(e) => format!("rect at={e}"),
-            None => "rect".to_string(),
-        },
-        Request::EpochBounds => "epoch_bounds".to_string(),
-        Request::Stats => "stats".to_string(),
-        Request::ApplyBatch { delete, insert } => {
-            format!("del={} ins={}", delete.len(), insert.len())
-        }
-    }
-}
-
-/// The error reply sent when an answer outgrows the frame cap.
-pub(crate) fn reply_too_large<T: WireCoord, const D: usize>() -> Reply<T, D> {
-    Reply::Error {
-        code: ERR_TOO_LARGE,
-        message: "reply exceeds the frame cap; narrow the query".to_string(),
-    }
-}
-
-/// The error reply sent when a pinned epoch fell off the history window.
-pub(crate) fn reply_epoch_gone<T: WireCoord, const D: usize>() -> Reply<T, D> {
-    Reply::Error {
-        code: ERR_EPOCH,
-        message: "epoch outside the retained history window".to_string(),
-    }
-}
-
-/// Answer one post-hello request on the calling thread. Blocking on the
-/// coalescer is exactly right here: the thread *is* the connection, and a
-/// parked thread is how the flusher accumulates its batch.
-pub(crate) fn answer_blocking<T: ServeCoord + WireCoord, const D: usize>(
-    ctx: &Ctx<T, D>,
-    req: Request<T, D>,
-) -> Reply<T, D> {
-    match req {
-        // A repeated hello is answered idempotently (harmless, and it lets
-        // clients re-verify the shape on a pooled connection).
-        Request::Hello { .. } => match check_hello(&req, ctx.shards) {
-            Ok(ok) | Err(ok) => ok,
-        },
-        Request::Knn { q, k, at } => {
-            let ans = match (&ctx.backend, at) {
-                (Backend::Coalesced(h), None) => Some(h.knn(&q, k as usize)),
-                (Backend::Coalesced(h), Some(e)) => h.knn_at(&q, k as usize, e),
-                (Backend::Direct(h), None) => Some(h.knn(&q, k as usize)),
-                (Backend::Direct(h), Some(e)) => h.knn_at(&q, k as usize, e),
-            };
-            match ans {
-                Some(p) => Reply::Points(p),
-                None => reply_epoch_gone(),
-            }
-        }
-        Request::RangeCount { rect, at } => {
-            let ans = match (&ctx.backend, at) {
-                (Backend::Coalesced(h), None) => Some(h.range_count(&rect)),
-                (Backend::Coalesced(h), Some(e)) => h.range_count_at(&rect, e),
-                (Backend::Direct(h), None) => Some(h.range_count(&rect)),
-                (Backend::Direct(h), Some(e)) => h.range_count_at(&rect, e),
-            };
-            match ans {
-                Some(c) => Reply::Count(c as u64),
-                None => reply_epoch_gone(),
-            }
-        }
-        Request::RangeList { rect, at } => {
-            let ans = match (&ctx.backend, at) {
-                (Backend::Coalesced(h), None) => Some(h.range_list(&rect)),
-                (Backend::Coalesced(h), Some(e)) => h.range_list_at(&rect, e),
-                (Backend::Direct(h), None) => Some(h.range_list(&rect)),
-                (Backend::Direct(h), Some(e)) => h.range_list_at(&rect, e),
-            };
-            match ans {
-                Some(p) => Reply::Points(p),
-                None => reply_epoch_gone(),
-            }
-        }
-        Request::EpochBounds => Reply::EpochBounds(ctx.server.router().epoch_bounds()),
-        Request::Stats => Reply::Stats {
-            version: psi_obs::SNAPSHOT_VERSION,
-            text: psi_obs::render_prometheus(),
-        },
-        Request::ApplyBatch { delete, insert } => match ctx.server.try_submit(delete, insert) {
-            Ok(()) => Reply::BatchOk,
-            Err(_) => Reply::Error {
-                code: ERR_BUSY,
-                message: "update queue full, retry".to_string(),
-            },
-        },
-    }
 }

@@ -11,16 +11,19 @@
 //! flush window at 10 000 connections is what the benchmark exists to
 //! measure.
 //!
-//! The op sequence on connection `c` is a pure function of `(c, round)`, so
-//! an in-process [`replay_checksum`] can re-issue the identical sequence
-//! against a [`psi_server::QueryClient`] and reproduce the combined answer
-//! checksum bit-for-bit. Per-connection checksums fold FNV-1a over reply
+//! The op sequence on connection `c` is a pure function of `(c, round)` —
+//! [`psi_server::loadgen::rotation`], the same kNN/kNN/count/list rotation
+//! the in-process closed loop issues — so an in-process [`replay_checksum`]
+//! can re-issue the identical sequence against a
+//! [`psi_server::QueryClient`] and reproduce the combined answer checksum
+//! bit-for-bit. Per-connection checksums fold FNV-1a over reply
 //! payloads; the combined checksum adds them with wrapping arithmetic, so
 //! it is independent of reply interleaving across connections.
 
 use crate::client::WireClient;
 use crate::wire::{Reply, Request, WireCoord};
 use psi_geometry::{Point, Rect};
+use psi_server::loadgen::rotation;
 use psi_server::{QueryClient, ServeCoord};
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
@@ -53,24 +56,6 @@ pub fn checksum_reply<T: WireCoord, const D: usize>(h: u64, reply: &Reply<T, D>)
         }
         Reply::Count(c) => fnv(h, &c.to_le_bytes()),
         _ => h,
-    }
-}
-
-/// The deterministic op for connection `c`, round `i` — the same
-/// kNN/kNN/count/list rotation `psi_server::loadgen` uses, so socket and
-/// in-process runs exercise identical query mixes.
-enum OpChoice {
-    Knn(usize),
-    Count(usize),
-    List(usize),
-}
-
-fn op_for(c: usize, i: usize, n_queries: usize, n_rects: usize) -> OpChoice {
-    let pick = c + i * 31;
-    match i % 4 {
-        0 | 1 => OpChoice::Knn(pick % n_queries),
-        2 => OpChoice::Count(pick % n_rects),
-        _ => OpChoice::List(pick % n_rects),
     }
 }
 
@@ -159,21 +144,7 @@ pub fn fanout<T: WireCoord, const D: usize>(
                 for i in 0..spec.rounds {
                     sent_at.clear();
                     for (j, conn) in conns.iter_mut().enumerate() {
-                        let req = match op_for(lo + j, i, queries.len(), rects.len()) {
-                            OpChoice::Knn(q) => Request::Knn {
-                                q: queries[q],
-                                k: spec.k as u32,
-                                at: None,
-                            },
-                            OpChoice::Count(r) => Request::RangeCount {
-                                rect: rects[r],
-                                at: None,
-                            },
-                            OpChoice::List(r) => Request::RangeList {
-                                rect: rects[r],
-                                at: None,
-                            },
-                        };
+                        let req = Request::from(rotation(lo + j, i, &queries, &rects, spec.k));
                         sent_at.push(Instant::now());
                         conn.send(&req).map_err(|e| format!("send: {e}"))?;
                     }
@@ -230,12 +201,8 @@ pub fn replay_checksum<T: WireCoord + ServeCoord, const D: usize>(
     for c in 0..spec.connections {
         let mut h = FNV_OFFSET;
         for i in 0..spec.rounds {
-            let reply: Reply<T, D> = match op_for(c, i, queries.len(), rects.len()) {
-                OpChoice::Knn(q) => Reply::Points(client.knn(&queries[q], spec.k)),
-                OpChoice::Count(r) => Reply::Count(client.range_count(&rects[r]) as u64),
-                OpChoice::List(r) => Reply::Points(client.range_list(&rects[r])),
-            };
-            h = checksum_reply(h, &reply);
+            let answer = client.query(rotation(c, i, queries, rects, spec.k));
+            h = checksum_reply(h, &Reply::from(answer));
         }
         combined = combined.wrapping_add(h);
     }

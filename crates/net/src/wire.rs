@@ -32,6 +32,7 @@
 //! point vectors themselves are materialised.
 
 use psi_geometry::{Point, Rect};
+use psi_server::{Answer, Op, Query};
 
 /// First bytes of every connection: `b"PSIN"` read as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"PSIN");
@@ -126,6 +127,37 @@ impl<T: WireCoord, const D: usize> Request<T, D> {
             version: VERSION,
             coord: T::TAG,
             dims: D as u8,
+        }
+    }
+}
+
+impl<T: WireCoord, const D: usize> From<Query<T, D>> for Request<T, D> {
+    fn from(query: Query<T, D>) -> Self {
+        let at = query.at;
+        match query.op {
+            // A k past the wire's u32 asks for every point either way.
+            Op::Knn(q, k) => Request::Knn {
+                q,
+                k: u32::try_from(k).unwrap_or(u32::MAX),
+                at,
+            },
+            Op::RangeCount(rect) => Request::RangeCount { rect, at },
+            Op::RangeList(rect) => Request::RangeList { rect, at },
+        }
+    }
+}
+
+/// An epoch outside the history window becomes the per-request
+/// [`ERR_EPOCH`] error, which leaves the connection open.
+impl<T: WireCoord, const D: usize> From<Answer<T, D>> for Reply<T, D> {
+    fn from(answer: Answer<T, D>) -> Self {
+        match answer {
+            Answer::Points(p) => Reply::Points(p),
+            Answer::Count(c) => Reply::Count(c as u64),
+            Answer::EpochGone => Reply::Error {
+                code: ERR_EPOCH,
+                message: "epoch outside the retained history window".to_string(),
+            },
         }
     }
 }

@@ -7,33 +7,27 @@
 //! a time from many client threads — dispatching each individually would
 //! pay the batch machinery per query. The [`Coalescer`] sits in between:
 //!
-//! * clients enqueue a request plus a one-shot reply channel and block on
-//!   the reply ([`CoalesceHandle::knn`] and friends),
+//! * clients enqueue a [`Query`] plus a callback ([`CoalesceHandle::submit`],
+//!   nonblocking — the evented socket transport never parks a reactor
+//!   thread) or block on the answer ([`CoalesceHandle::query`]),
 //! * one **flusher** thread drains the queue (up to `max_batch` requests
-//!   per flush), pins a single [`RouterView`](crate::router::RouterView)
-//!   for the whole flush, groups
-//!   the requests by operation (and by `k` for kNN), answers each group
-//!   through one batched call, and distributes the replies.
+//!   per flush), answers the drained slice through [`execute`] — one
+//!   pinned [`RouterView`](crate::router::RouterView) per requested epoch,
+//!   one batched call per operation (and per `k` for kNN) — and runs each
+//!   request's callback with its [`Answer`].
 //!
-//! Every request in one flush is answered against the *same* pinned view,
-//! so a flush is per-shard epoch-consistent. Under load the queue fills
-//! while a flush runs and the next flush drains a large batch — the
-//! coalescing window grows with load and shrinks to a single request when
-//! idle (no artificial latency is added: the flusher sleeps only when the
-//! queue is empty).
-//!
-//! Requests may carry an **"as of epoch N"** tag ([`CoalesceHandle::knn_at`]
-//! and friends): the flusher groups each flush by requested epoch and
-//! answers every group against that epoch's retained view
-//! ([`Router::pin_at`]), falling back to [`QueryReply::EpochGone`] when the
-//! epoch has been evicted from the history window (or the serving family
-//! keeps no history). Untagged requests keep using the freshly pinned
-//! current view.
+//! Every current-epoch request in one flush is answered against the *same*
+//! pinned view, so a flush is per-shard epoch-consistent; requests pinned
+//! to an epoch outside the history window answer [`Answer::EpochGone`].
+//! Under load the queue fills while a flush runs and the next flush drains
+//! a large batch — the coalescing window grows with load and shrinks to a
+//! single request when idle (no artificial latency is added: the flusher
+//! sleeps only when the queue is empty).
 
-use crate::router::{RouterView, ServeCoord};
+use crate::query::{execute, Answer, Query};
+use crate::router::ServeCoord;
 use crate::Router;
 use psi_geometry::{Point, Rect};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
@@ -54,60 +48,12 @@ static OBS_FLUSH_SIZE: psi_obs::LazyHistogram = psi_obs::LazyHistogram::new(
     "requests folded into one coalescer flush",
 );
 
-/// One point query, as the coalescer buffers it. Public so socket front-ends
-/// (the `psi-net` crate) can enqueue decoded wire requests directly.
-pub enum QueryOp<T: ServeCoord, const D: usize> {
-    /// `k` nearest neighbours of a point.
-    Knn(Point<T, D>, usize),
-    /// Number of stored points in a closed box.
-    RangeCount(Rect<T, D>),
-    /// The stored points in a closed box.
-    RangeList(Rect<T, D>),
-}
-
-/// The answer to a [`QueryOp`].
-pub enum QueryReply<T: ServeCoord, const D: usize> {
-    /// kNN / range-list answers.
-    Points(Vec<Point<T, D>>),
-    /// Range-count answers.
-    Count(usize),
-    /// The requested epoch is outside the server's history window — evicted,
-    /// never published, or the serving family keeps no history at all.
-    EpochGone,
-}
-
-/// How a buffered request's answer is delivered: a blocking one-shot channel
-/// (the [`CoalesceHandle`] convenience calls) or a callback invoked on the
-/// flusher thread (nonblocking submitters — the event-loop transport — which
-/// must never park a reactor thread waiting on a reply).
-pub enum Completion<T: ServeCoord, const D: usize> {
-    /// Deliver through a one-shot channel; the submitter blocks on it.
-    Channel(mpsc::SyncSender<QueryReply<T, D>>),
-    /// Invoke on the flusher thread once the answer is computed. Keep the
-    /// callback cheap (encode + hand off) — it runs inside the flush.
-    Callback(Box<dyn FnOnce(QueryReply<T, D>) + Send>),
-}
-
-impl<T: ServeCoord, const D: usize> Completion<T, D> {
-    fn deliver(self, reply: QueryReply<T, D>) {
-        match self {
-            // A client that gave up (dropped its receiver) is not an error.
-            Completion::Channel(tx) => drop(tx.send(reply)),
-            Completion::Callback(f) => f(reply),
-        }
-    }
-}
-
-struct Pending<T: ServeCoord, const D: usize> {
-    op: QueryOp<T, D>,
-    /// `Some(e)` answers against the retained view of global epoch `e`;
-    /// `None` answers against the current view.
-    at: Option<u64>,
-    done: Option<Completion<T, D>>,
-}
+/// Delivers one answer; runs on the flusher thread, so keep it cheap
+/// (encode + hand off).
+type Done<T, const D: usize> = Box<dyn FnOnce(Answer<T, D>) + Send>;
 
 struct QueueState<T: ServeCoord, const D: usize> {
-    buf: Vec<Pending<T, D>>,
+    buf: Vec<(Query<T, D>, Done<T, D>)>,
     shutdown: bool,
 }
 
@@ -150,11 +96,11 @@ impl<T: ServeCoord, const D: usize> Coalescer<T, D> {
         self.ready.notify_all();
     }
 
-    /// The flusher loop: drain, pin one view, batch, reply. Returns when
+    /// The flusher loop: drain, execute, deliver. Returns when
     /// shutdown is requested and the queue has fully drained.
     pub(crate) fn run_flusher(&self, router: &Router<T, D>, max_batch: usize) {
         loop {
-            let batch: Vec<Pending<T, D>> = {
+            let batch: Vec<(Query<T, D>, Done<T, D>)> = {
                 let mut q = self.queue.lock().unwrap();
                 loop {
                     if !q.buf.is_empty() {
@@ -171,86 +117,15 @@ impl<T: ServeCoord, const D: usize> Coalescer<T, D> {
         }
     }
 
-    fn flush(&self, router: &Router<T, D>, mut batch: Vec<Pending<T, D>>) {
+    fn flush(&self, router: &Router<T, D>, batch: Vec<(Query<T, D>, Done<T, D>)>) {
         self.flushes.fetch_add(1, Ordering::Relaxed);
         self.served.fetch_add(batch.len() as u64, Ordering::Relaxed);
         OBS_FLUSHES.bump();
         OBS_SERVED.add(batch.len() as u64);
         OBS_FLUSH_SIZE.record(batch.len() as u64);
-
-        // Group the flush by requested epoch — the common all-current flush
-        // makes exactly one group and pins exactly one view, as before.
-        let mut ats: Vec<Option<u64>> = batch.iter().map(|p| p.at).collect();
-        ats.sort_unstable();
-        ats.dedup();
-        for at in ats {
-            let slots: Vec<usize> = (0..batch.len()).filter(|&s| batch[s].at == at).collect();
-            let view = match at {
-                None => Some(router.pin()),
-                Some(epoch) => router.pin_at(epoch),
-            };
-            match view {
-                Some(view) => Self::answer(&view, &mut batch, &slots),
-                None => {
-                    for &slot in &slots {
-                        Self::send(&mut batch, slot, QueryReply::EpochGone);
-                    }
-                }
-            }
-        }
-    }
-
-    fn send(batch: &mut [Pending<T, D>], slot: usize, reply: QueryReply<T, D>) {
-        batch[slot]
-            .done
-            .take()
-            .expect("each flush slot answered once")
-            .deliver(reply);
-    }
-
-    /// Answer the `slots` of `batch` against one pinned view, grouped by
-    /// operation; kNN additionally by k (one batched call per distinct k).
-    fn answer(view: &RouterView<T, D>, batch: &mut [Pending<T, D>], slots: &[usize]) {
-        let mut knn: HashMap<usize, (Vec<Point<T, D>>, Vec<usize>)> = HashMap::new();
-        let mut counts: (Vec<Rect<T, D>>, Vec<usize>) = Default::default();
-        let mut lists: (Vec<Rect<T, D>>, Vec<usize>) = Default::default();
-        for &slot in slots {
-            match &batch[slot].op {
-                QueryOp::Knn(q, k) => {
-                    let g = knn.entry(*k).or_default();
-                    g.0.push(*q);
-                    g.1.push(slot);
-                }
-                QueryOp::RangeCount(r) => {
-                    counts.0.push(*r);
-                    counts.1.push(slot);
-                }
-                QueryOp::RangeList(r) => {
-                    lists.0.push(*r);
-                    lists.1.push(slot);
-                }
-            }
-        }
-
-        let mut ks: Vec<usize> = knn.keys().copied().collect();
-        ks.sort_unstable();
-        for k in ks {
-            let (qs, slots) = &knn[&k];
-            for (ans, &slot) in view.knn_batch(qs, k).into_iter().zip(slots) {
-                Self::send(batch, slot, QueryReply::Points(ans));
-            }
-        }
-        if !counts.0.is_empty() {
-            let answers = view.range_count_batch(&counts.0);
-            for (c, &slot) in answers.into_iter().zip(&counts.1) {
-                Self::send(batch, slot, QueryReply::Count(c));
-            }
-        }
-        if !lists.0.is_empty() {
-            let answers = view.range_list_batch(&lists.0);
-            for (ans, &slot) in answers.into_iter().zip(&lists.1) {
-                Self::send(batch, slot, QueryReply::Points(ans));
-            }
+        let (queries, dones): (Vec<_>, Vec<_>) = batch.into_iter().unzip();
+        for (answer, done) in execute(router, &queries).into_iter().zip(dones) {
+            done(answer);
         }
     }
 }
@@ -271,94 +146,52 @@ impl<T: ServeCoord, const D: usize> Clone for CoalesceHandle<T, D> {
 }
 
 impl<T: ServeCoord, const D: usize> CoalesceHandle<T, D> {
-    /// Enqueue one request for the next flush, delivering the answer through
-    /// `done`. The nonblocking building block under the blocking convenience
-    /// calls; socket front-ends use it with [`Completion::Callback`] so a
-    /// reactor thread never parks waiting on the flusher.
-    pub fn submit(&self, op: QueryOp<T, D>, done: Completion<T, D>) {
-        self.submit_at(op, None, done);
-    }
-
-    /// As [`CoalesceHandle::submit`], answering against global epoch `at`
-    /// when given (`QueryReply::EpochGone` if the epoch is not retained).
-    pub fn submit_at(&self, op: QueryOp<T, D>, at: Option<u64>, done: Completion<T, D>) {
+    /// Enqueue one query for the next flush; `done` receives the answer on
+    /// the flusher thread. Socket front-ends use this so a reactor thread
+    /// never parks waiting on the flusher.
+    pub fn submit(&self, query: Query<T, D>, done: impl FnOnce(Answer<T, D>) + Send + 'static) {
         {
-            let mut q = self.shared.queue.lock().unwrap();
+            let mut q = self
+                .shared
+                .queue
+                .lock()
+                .expect("no thread panics while holding the coalescer queue");
             assert!(
                 !q.shutdown,
                 "psi-server client used after the server shut down"
             );
-            q.buf.push(Pending {
-                op,
-                at,
-                done: Some(done),
-            });
+            q.buf.push((query, Box::new(done)));
         }
         self.shared.ready.notify_all();
     }
 
-    fn request(&self, op: QueryOp<T, D>, at: Option<u64>) -> QueryReply<T, D> {
+    /// Enqueue one query and block until the flusher answers it.
+    pub fn query(&self, query: Query<T, D>) -> Answer<T, D> {
         let (tx, rx) = mpsc::sync_channel(1);
-        self.submit_at(op, at, Completion::Channel(tx));
+        // A client that gave up (dropped its receiver) is not an error.
+        self.submit(query, move |answer| drop(tx.send(answer)));
         rx.recv()
             .expect("the psi-server flusher answers every queued request")
     }
 
     /// The `k` nearest stored neighbours of `q`, closest first.
     pub fn knn(&self, q: &Point<T, D>, k: usize) -> Vec<Point<T, D>> {
-        if k == 0 {
-            return Vec::new();
-        }
-        match self.request(QueryOp::Knn(*q, k), None) {
-            QueryReply::Points(p) => p,
-            _ => unreachable!("knn requests get point replies"),
-        }
+        self.query(Query::knn(*q, k))
+            .points()
+            .expect("kNN answers with points")
     }
 
     /// Number of stored points in the closed box.
     pub fn range_count(&self, rect: &Rect<T, D>) -> usize {
-        match self.request(QueryOp::RangeCount(*rect), None) {
-            QueryReply::Count(c) => c,
-            _ => unreachable!("count requests get count replies"),
-        }
+        self.query(Query::range_count(*rect))
+            .count()
+            .expect("range count answers with a count")
     }
 
     /// The stored points in the closed box (shard order).
     pub fn range_list(&self, rect: &Rect<T, D>) -> Vec<Point<T, D>> {
-        match self.request(QueryOp::RangeList(*rect), None) {
-            QueryReply::Points(p) => p,
-            _ => unreachable!("list requests get point replies"),
-        }
-    }
-
-    /// Time-travel kNN: the `k` nearest neighbours as of global `epoch`.
-    /// `None` when the epoch is outside the retained history window.
-    pub fn knn_at(&self, q: &Point<T, D>, k: usize, epoch: u64) -> Option<Vec<Point<T, D>>> {
-        if k == 0 {
-            return Some(Vec::new());
-        }
-        match self.request(QueryOp::Knn(*q, k), Some(epoch)) {
-            QueryReply::Points(p) => Some(p),
-            QueryReply::EpochGone => None,
-            QueryReply::Count(_) => unreachable!("knn requests get point replies"),
-        }
-    }
-
-    /// Time-travel range count as of global `epoch` (`None` if evicted).
-    pub fn range_count_at(&self, rect: &Rect<T, D>, epoch: u64) -> Option<usize> {
-        match self.request(QueryOp::RangeCount(*rect), Some(epoch)) {
-            QueryReply::Count(c) => Some(c),
-            QueryReply::EpochGone => None,
-            QueryReply::Points(_) => unreachable!("count requests get count replies"),
-        }
-    }
-
-    /// Time-travel range list as of global `epoch` (`None` if evicted).
-    pub fn range_list_at(&self, rect: &Rect<T, D>, epoch: u64) -> Option<Vec<Point<T, D>>> {
-        match self.request(QueryOp::RangeList(*rect), Some(epoch)) {
-            QueryReply::Points(p) => Some(p),
-            QueryReply::EpochGone => None,
-            QueryReply::Count(_) => unreachable!("list requests get point replies"),
-        }
+        self.query(Query::range_list(*rect))
+            .points()
+            .expect("range list answers with points")
     }
 }

@@ -34,9 +34,11 @@
 //! check) behind `bench_serve` and the scenario harness's `[serve]` phase.
 //!
 //! Persistent routers additionally retain a bounded window of recent global
-//! epochs ([`ServeConfig::epoch_history`]): [`PsiServer::view_at`] and the
-//! `*_at` client calls answer **"as of epoch N"** time-travel queries from
-//! it, bit-identical to what a reader pinned at that epoch would have seen.
+//! epochs ([`ServeConfig::epoch_history`]): [`PsiServer::view_at`] and any
+//! [`Query`] with `at` set answer **"as of epoch N"** time-travel queries
+//! from it, bit-identical to what a reader pinned at that epoch would have
+//! seen. Every read, from every client, runs through one function,
+//! [`query::execute`].
 //!
 //! ```
 //! use psi::registry::{self, BuildOptions};
@@ -67,13 +69,15 @@
 pub mod coalesce;
 pub mod durability;
 pub mod loadgen;
+pub mod query;
 pub mod router;
 pub mod shard;
 pub mod wal;
 
-pub use coalesce::{CoalesceHandle, Coalescer, Completion, QueryOp, QueryReply};
+pub use coalesce::{CoalesceHandle, Coalescer};
 pub use durability::DurabilityConfig;
 pub use loadgen::{closed_loop, closed_loop_with, LoadOutcome, LoadSpec, QueryClient};
+pub use query::{execute, Answer, Op, Query};
 pub use router::{Router, RouterView, ServeCoord, DEFAULT_EPOCH_HISTORY};
 pub use shard::{IndexFactory, Shard, Snapshot, SnapshotRef};
 pub use wal::FsyncPolicy;
@@ -550,10 +554,11 @@ impl<T: ServeCoord, const D: usize> Drop for PsiServer<T, D> {
 }
 
 /// The non-coalesced fast path (see [`PsiServer::direct_client`]): a
-/// cloneable handle answering every query inline against a freshly pinned
-/// router view. No queue, no flusher hand-off, no batching — one pool
-/// dispatch per call. Valid after shutdown (it only reads snapshots), so
-/// drain order relative to the service threads does not matter.
+/// cloneable handle answering every query inline, through [`execute`] on
+/// the calling thread. No queue, no flusher hand-off, no batching across
+/// callers — one pool dispatch per call. Valid after shutdown (it only
+/// reads snapshots), so drain order relative to the service threads does
+/// not matter.
 pub struct DirectHandle<T: ServeCoord, const D: usize> {
     router: Arc<Router<T, D>>,
 }
@@ -567,35 +572,31 @@ impl<T: ServeCoord, const D: usize> Clone for DirectHandle<T, D> {
 }
 
 impl<T: ServeCoord, const D: usize> DirectHandle<T, D> {
+    /// Answer one query against a freshly pinned view.
+    pub fn query(&self, query: Query<T, D>) -> Answer<T, D> {
+        let mut answers = execute(&self.router, &[query]);
+        answers.pop().expect("execute answers every slot")
+    }
+
     /// The `k` nearest stored neighbours of `q`, closest first.
     pub fn knn(&self, q: &Point<T, D>, k: usize) -> Vec<Point<T, D>> {
-        self.router.pin().knn(q, k)
+        self.query(Query::knn(*q, k))
+            .points()
+            .expect("kNN answers with points")
     }
 
     /// Number of stored points in the closed box.
     pub fn range_count(&self, rect: &Rect<T, D>) -> usize {
-        self.router.pin().range_count(rect)
+        self.query(Query::range_count(*rect))
+            .count()
+            .expect("range count answers with a count")
     }
 
     /// The stored points in the closed box (shard order).
     pub fn range_list(&self, rect: &Rect<T, D>) -> Vec<Point<T, D>> {
-        self.router.pin().range_list(rect)
-    }
-
-    /// Time-travel kNN as of global `epoch`; `None` when the epoch is
-    /// outside the retained history window.
-    pub fn knn_at(&self, q: &Point<T, D>, k: usize, epoch: u64) -> Option<Vec<Point<T, D>>> {
-        Some(self.router.pin_at(epoch)?.knn(q, k))
-    }
-
-    /// Time-travel range count as of global `epoch` (`None` if evicted).
-    pub fn range_count_at(&self, rect: &Rect<T, D>, epoch: u64) -> Option<usize> {
-        Some(self.router.pin_at(epoch)?.range_count(rect))
-    }
-
-    /// Time-travel range list as of global `epoch` (`None` if evicted).
-    pub fn range_list_at(&self, rect: &Rect<T, D>, epoch: u64) -> Option<Vec<Point<T, D>>> {
-        Some(self.router.pin_at(epoch)?.range_list(rect))
+        self.query(Query::range_list(*rect))
+            .points()
+            .expect("range list answers with points")
     }
 }
 
@@ -744,24 +745,57 @@ mod tests {
 
         // Epochs 3..=6 are retained; old and future epochs are gone.
         let client = server.client();
+        let direct = server.direct_client();
         let whole = Rect::from_corners(Point::new([0, 0]), Point::new([max, max]));
+        let q = Point::new([max / 2, max / 2]);
+        let dists = |a: Answer<i64, 2>| -> Vec<i128> {
+            a.points().unwrap().iter().map(|p| q.dist_sq(p)).collect()
+        };
         for e in 3..=6u64 {
             let view = server.view_at(e).expect("epoch inside the window");
             assert_eq!(view.len(), replica_lens[e as usize]);
+            let count = Query {
+                at: Some(e),
+                ..Query::range_count(whole)
+            };
+            assert_eq!(client.query(count), Answer::Count(replica_lens[e as usize]));
+            let knn = Query {
+                at: Some(e),
+                ..Query::knn(q, 5)
+            };
             assert_eq!(
-                client.range_count_at(&whole, e),
-                Some(replica_lens[e as usize])
+                dists(direct.query(knn)),
+                dists(client.query(knn)),
+                "both client paths answer from the same epoch"
             );
-            let q = Point::new([max / 2, max / 2]);
-            let direct = server.direct_client().knn_at(&q, 5, e).unwrap();
-            let coalesced = client.knn_at(&q, 5, e).unwrap();
-            let dd: Vec<i128> = direct.iter().map(|p| q.dist_sq(p)).collect();
-            let cd: Vec<i128> = coalesced.iter().map(|p| q.dist_sq(p)).collect();
-            assert_eq!(dd, cd, "both client paths answer from the same epoch");
         }
         assert!(server.view_at(0).is_none(), "evicted epoch");
         assert!(server.view_at(99).is_none(), "future epoch");
-        assert_eq!(client.range_count_at(&whole, 0), None);
+        let gone = Query {
+            at: Some(0),
+            ..Query::range_count(whole)
+        };
+        assert_eq!(client.query(gone), Answer::EpochGone);
+        // The epoch is checked before k: k = 0 at an epoch the server does
+        // not keep is gone on both paths, k = 0 now is an empty list.
+        for at in [Some(0), Some(99)] {
+            let zero = Query {
+                at,
+                ..Query::knn(q, 0)
+            };
+            assert_eq!(
+                client.query(zero),
+                Answer::EpochGone,
+                "coalesced k=0 at {at:?}"
+            );
+            assert_eq!(
+                direct.query(zero),
+                Answer::EpochGone,
+                "direct k=0 at {at:?}"
+            );
+        }
+        assert_eq!(client.query(Query::knn(q, 0)), Answer::Points(Vec::new()));
+        assert_eq!(direct.query(Query::knn(q, 0)), Answer::Points(Vec::new()));
         server.shutdown();
     }
 

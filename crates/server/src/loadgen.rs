@@ -2,61 +2,64 @@
 //! behind `bench_serve` and the scenario harness's `[serve]` phase.
 //!
 //! The loop spawns `clients` reader threads, each issuing
-//! `ops_per_client` queries through a coalescing client handle (a
-//! kNN / kNN / range-count / range-list round-robin) and recording per-query
-//! latency into a shared `psi_obs` histogram (the percentiles reported are
-//! bucket quantiles, within 1/32 of the sorted-sample value, from the same
-//! histogram machinery the live metrics use), while an optional writer
-//! thread publishes **move** batches —
-//! delete a rotating slice of the dataset, reinsert the same points — at the
-//! requested pacing. Moves keep the live count invariant, which turns the
-//! run into a correctness check: after quiescing, the server must hold
-//! exactly the dataset size, so a torn or lost batch fails the run instead
-//! of skewing a number.
+//! `ops_per_client` queries through a coalescing client handle (the
+//! kNN / kNN / range-count / range-list [`rotation`]) and recording
+//! per-query latency into a shared `psi_obs` histogram (the percentiles
+//! reported are bucket quantiles, within 1/32 of the sorted-sample value,
+//! from the same histogram machinery the live metrics use), while an
+//! optional writer thread publishes **move** batches — delete a rotating
+//! slice of the dataset, reinsert the same points — at the requested
+//! pacing. Moves keep the live count invariant, which turns the run into a
+//! correctness check: after quiescing, the server must hold exactly the
+//! dataset size, so a torn or lost batch fails the run instead of skewing
+//! a number.
 
 use crate::coalesce::CoalesceHandle;
+use crate::query::{Answer, Op, Query};
 use crate::router::ServeCoord;
 use crate::{DirectHandle, PsiServer};
-use psi_geometry::{Point, Rect};
+use psi_geometry::{Coord, Point, Rect};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// What a closed-loop client thread needs from its transport: issue one
-/// query, block until answered. In-process handles implement it directly;
-/// the `psi-net` crate implements it for wire-protocol socket clients, so
-/// the same driver (and the same conservation/shape checks) measures both
-/// the in-process and the over-the-socket paths.
+/// What a closed-loop client thread needs from its transport: answer one
+/// [`Query`], blocking until it is answered. In-process handles implement
+/// it directly; the `psi-net` crate implements it for wire-protocol socket
+/// clients, so the same generator (and the same conservation/shape checks)
+/// measures both the in-process and the over-the-socket paths.
 pub trait QueryClient<T: ServeCoord, const D: usize>: Send + 'static {
-    /// The `k` nearest stored neighbours of `q`, closest first.
-    fn knn(&mut self, q: &Point<T, D>, k: usize) -> Vec<Point<T, D>>;
-    /// Number of stored points in the closed box.
-    fn range_count(&mut self, rect: &Rect<T, D>) -> usize;
-    /// The stored points in the closed box (shard order).
-    fn range_list(&mut self, rect: &Rect<T, D>) -> Vec<Point<T, D>>;
+    /// Answer one query.
+    fn query(&mut self, query: Query<T, D>) -> Answer<T, D>;
 }
 
 impl<T: ServeCoord, const D: usize> QueryClient<T, D> for CoalesceHandle<T, D> {
-    fn knn(&mut self, q: &Point<T, D>, k: usize) -> Vec<Point<T, D>> {
-        CoalesceHandle::knn(self, q, k)
-    }
-    fn range_count(&mut self, rect: &Rect<T, D>) -> usize {
-        CoalesceHandle::range_count(self, rect)
-    }
-    fn range_list(&mut self, rect: &Rect<T, D>) -> Vec<Point<T, D>> {
-        CoalesceHandle::range_list(self, rect)
+    fn query(&mut self, query: Query<T, D>) -> Answer<T, D> {
+        CoalesceHandle::query(self, query)
     }
 }
 
 impl<T: ServeCoord, const D: usize> QueryClient<T, D> for DirectHandle<T, D> {
-    fn knn(&mut self, q: &Point<T, D>, k: usize) -> Vec<Point<T, D>> {
-        DirectHandle::knn(self, q, k)
+    fn query(&mut self, query: Query<T, D>) -> Answer<T, D> {
+        DirectHandle::query(self, query)
     }
-    fn range_count(&mut self, rect: &Rect<T, D>) -> usize {
-        DirectHandle::range_count(self, rect)
-    }
-    fn range_list(&mut self, rect: &Rect<T, D>) -> Vec<Point<T, D>> {
-        DirectHandle::range_list(self, rect)
+}
+
+/// Query `i` of client `c` in the kNN / kNN / range-count / range-list
+/// rotation every load generator issues (this closed loop and `psi-net`'s
+/// fan-out generator alike), drawn from the `queries` and `rects` pools.
+pub fn rotation<T: Coord, const D: usize>(
+    c: usize,
+    i: usize,
+    queries: &[Point<T, D>],
+    rects: &[Rect<T, D>],
+    k: usize,
+) -> Query<T, D> {
+    let pick = c + i * 31;
+    match i % 4 {
+        0 | 1 => Query::knn(queries[pick % queries.len()], k),
+        2 => Query::range_count(rects[pick % rects.len()]),
+        _ => Query::range_list(rects[pick % rects.len()]),
     }
 }
 
@@ -171,24 +174,16 @@ pub fn closed_loop_with<T: ServeCoord, const D: usize>(
             let hist = Arc::clone(&hist);
             std::thread::spawn(move || {
                 for i in 0..ops {
-                    let pick = c + i * 31;
+                    let query = rotation(c, i, &queries, &rects, k);
                     let t = Instant::now();
-                    match i % 4 {
-                        0 | 1 => {
-                            let q = &queries[pick % queries.len()];
-                            let ans = handle.knn(q, k);
-                            assert_eq!(ans.len(), expect_k, "short kNN answer");
-                            debug_assert!(ans
-                                .windows(2)
-                                .all(|w| T::dist_cmp(q.dist_sq(&w[0]), q.dist_sq(&w[1]))
-                                    != std::cmp::Ordering::Greater));
-                        }
-                        2 => {
-                            handle.range_count(&rects[pick % rects.len()]);
-                        }
-                        _ => {
-                            handle.range_list(&rects[pick % rects.len()]);
-                        }
+                    let answer = handle.query(query);
+                    if let Op::Knn(q, _) = query.op {
+                        let ans = answer.points().expect("kNN answers with points");
+                        assert_eq!(ans.len(), expect_k, "short kNN answer");
+                        debug_assert!(ans
+                            .windows(2)
+                            .all(|w| T::dist_cmp(q.dist_sq(&w[0]), q.dist_sq(&w[1]))
+                                != std::cmp::Ordering::Greater));
                     }
                     hist.record_duration(t.elapsed());
                 }

@@ -1,6 +1,6 @@
 //! End-to-end semantics for the `psi-net` socket front-end: answers over
 //! TCP must be **checksum-identical** to in-process answers, on both
-//! transports, with and without coalescing, for both coordinate types —
+//! transports, for both coordinate types —
 //! and hostile connections (malformed frames, oversized prefixes, unknown
 //! opcodes, mid-frame disconnects) must be answered with an error frame or
 //! dropped cleanly, leaving the server fully serviceable.
@@ -64,50 +64,41 @@ fn await_drained(net: &NetServer) {
 
 /// The tentpole identity: a fan-out run over sockets produces the same
 /// combined answer checksum as replaying the identical op sequences through
-/// the matching in-process handle — per transport, per query backend.
+/// an in-process handle — per transport.
 #[test]
 fn socket_answers_are_checksum_identical_to_inprocess() {
     for transport in [Transport::Threaded, Transport::Evented] {
-        for coalesce in [true, false] {
-            let (server, data) = i64_server(3);
-            let (queries, rects) = query_mix(&data);
-            let net = NetServer::spawn(
-                Arc::clone(&server),
-                loopback(),
-                NetConfig {
-                    transport,
-                    coalesce,
-                },
-            )
+        let (server, data) = i64_server(3);
+        let (queries, rects) = query_mix(&data);
+        let net = NetServer::spawn(Arc::clone(&server), loopback(), NetConfig { transport })
             .expect("spawn net server");
-            let spec = FanoutSpec {
-                connections: 48,
-                workers: 3,
-                rounds: 16,
-                k: 5,
-            };
-            let label = format!("{}/coalesce={coalesce}", transport.name());
-            let out = fanout(net.addr(), &queries, &rects, &spec)
-                .unwrap_or_else(|e| panic!("{label}: fanout failed: {e}"));
-            assert_eq!(out.ops, 48 * 16, "{label}");
-            assert_eq!(net.accepted(), 48, "{label}");
+        let spec = FanoutSpec {
+            connections: 48,
+            workers: 3,
+            rounds: 16,
+            k: 5,
+        };
+        let label = transport.name();
+        let out = fanout(net.addr(), &queries, &rects, &spec)
+            .unwrap_or_else(|e| panic!("{label}: fanout failed: {e}"));
+        assert_eq!(out.ops, 48 * 16, "{label}");
+        assert_eq!(net.accepted(), 48, "{label}");
 
-            // Replay through the same query path the transport used, so
-            // the only difference under test is the wire.
-            let expected = if coalesce {
-                let mut handle = server.client();
-                replay_checksum(&mut handle, &queries, &rects, &spec)
-            } else {
-                let mut handle = server.direct_client();
-                replay_checksum(&mut handle, &queries, &rects, &spec)
-            };
+        // Replay through both in-process handles: the only difference
+        // under test is the wire.
+        let mut coalesced = server.client();
+        let mut direct = server.direct_client();
+        for expected in [
+            replay_checksum(&mut coalesced, &queries, &rects, &spec),
+            replay_checksum(&mut direct, &queries, &rects, &spec),
+        ] {
             assert_eq!(
                 out.checksum, expected,
                 "{label}: socket answers diverged from in-process answers"
             );
-            await_drained(&net);
-            net.shutdown();
         }
+        await_drained(&net);
+        net.shutdown();
     }
 }
 
@@ -169,15 +160,8 @@ fn closed_loop_drives_sockets_under_writer_churn() {
     for transport in [Transport::Threaded, Transport::Evented] {
         let (server, data) = i64_server(2);
         let (queries, rects) = query_mix(&data);
-        let net = NetServer::spawn(
-            Arc::clone(&server),
-            loopback(),
-            NetConfig {
-                transport,
-                coalesce: true,
-            },
-        )
-        .expect("spawn net server");
+        let net = NetServer::spawn(Arc::clone(&server), loopback(), NetConfig { transport })
+            .expect("spawn net server");
         let addr = net.addr();
         let spec = LoadSpec {
             clients: 4,
@@ -266,15 +250,8 @@ fn malformed_connections_never_wound_the_server() {
     for transport in [Transport::Threaded, Transport::Evented] {
         let (server, data) = i64_server(2);
         let (queries, rects) = query_mix(&data);
-        let net = NetServer::spawn(
-            Arc::clone(&server),
-            loopback(),
-            NetConfig {
-                transport,
-                coalesce: true,
-            },
-        )
-        .expect("spawn net server");
+        let net = NetServer::spawn(Arc::clone(&server), loopback(), NetConfig { transport })
+            .expect("spawn net server");
         let label = transport.name();
         let hello_bytes = |out: &mut Vec<u8>| {
             wire::encode_request(&Request::<i64, 2>::hello(), 0, out).unwrap();

@@ -442,15 +442,15 @@ fn persistent_time_travel_matches_per_epoch_goldens() {
     }
 }
 
-/// The same epoch answers through ψ-net: a wire client's `*_at` calls must
-/// return byte-for-byte what an in-process view of that epoch returns, on
-/// both socket transports; an evicted epoch is a typed per-request failure
-/// that leaves the connection usable.
+/// The same epoch answers through ψ-net: a wire client's epoch-pinned
+/// queries must return byte-for-byte what an in-process view of that epoch
+/// returns, on both socket transports; an evicted epoch is a typed
+/// per-request failure that leaves the connection usable.
 #[test]
 fn time_travel_over_the_socket_matches_in_process() {
     use psi_net::client::WireClient;
     use psi_net::{loopback, NetConfig, NetServer, Transport};
-    use psi_server::{PsiServer, ServeConfig};
+    use psi_server::{Answer, PsiServer, Query, ServeConfig};
 
     let max = 1_000_000i64;
     let data = workloads::uniform::<2>(1_500, max, 91);
@@ -476,36 +476,35 @@ fn time_travel_over_the_socket_matches_in_process() {
     let queries = workloads::ind_queries(&data, 8, 92);
     let rects = workloads::range_queries(&data, max, 40, 5, 93);
     let k = 6;
+    let at = |e: u64, query: Query<i64, 2>| Query {
+        at: Some(e),
+        ..query
+    };
     for transport in [Transport::Threaded, Transport::Evented] {
-        let net = NetServer::spawn(
-            Arc::clone(&server),
-            loopback(),
-            NetConfig {
-                transport,
-                coalesce: true,
-            },
-        )
-        .expect("bind loopback");
+        let net = NetServer::spawn(Arc::clone(&server), loopback(), NetConfig { transport })
+            .expect("bind loopback");
         let mut client: WireClient<i64, 2> = WireClient::connect(net.addr()).expect("connect");
         for e in 3..=6u64 {
             let view = server.view_at(e).expect("epoch inside the window");
             let want_knn = view.knn_batch(&queries, k);
             for (q, want) in queries.iter().zip(&want_knn) {
-                let got = client
-                    .knn_at(q, k, e)
-                    .expect("I/O")
-                    .expect("epoch inside the window");
-                assert_eq!(&got, want, "socket knn@{e} differs from in-process");
+                let got = client.query(at(e, Query::knn(*q, k))).expect("I/O");
+                assert_eq!(
+                    got,
+                    Answer::Points(want.clone()),
+                    "socket knn@{e} differs from in-process"
+                );
             }
             for rect in &rects {
                 assert_eq!(
-                    client.range_count_at(rect, e).expect("I/O"),
-                    Some(view.range_count(rect)),
+                    client.query(at(e, Query::range_count(*rect))).expect("I/O"),
+                    Answer::Count(view.range_count(rect)),
                     "socket range_count@{e}"
                 );
                 let mut got = client
-                    .range_list_at(rect, e)
+                    .query(at(e, Query::range_list(*rect)))
                     .expect("I/O")
+                    .points()
                     .expect("epoch inside the window");
                 let mut want = view.range_list(rect);
                 got.sort_unstable();
@@ -513,9 +512,24 @@ fn time_travel_over_the_socket_matches_in_process() {
                 assert_eq!(got, want, "socket range_list@{e}");
             }
         }
-        // Evicted / future epochs: ERR_EPOCH is per-request, not fatal.
-        assert_eq!(client.knn_at(&queries[0], 3, 0).expect("I/O"), None);
-        assert_eq!(client.range_count_at(&rects[0], 99).expect("I/O"), None);
+        // Evicted / future epochs: ERR_EPOCH is per-request, not fatal —
+        // for k = 0 too, since the epoch is checked before k.
+        let gone = [
+            at(0, Query::knn(queries[0], 3)),
+            at(99, Query::range_count(rects[0])),
+            at(0, Query::knn(queries[0], 0)),
+            at(99, Query::knn(queries[0], 0)),
+        ];
+        for query in gone {
+            let got = client.query(query).expect("I/O");
+            assert_eq!(got, Answer::EpochGone, "{}: {query:?}", transport.name());
+        }
+        let empty = client.query(Query::knn(queries[0], 0)).expect("I/O");
+        assert_eq!(
+            empty,
+            Answer::Points(Vec::new()),
+            "k = 0 now is an empty list"
+        );
         let alive = client.knn(&queries[0], 3).expect("connection stays open");
         assert_eq!(alive.len(), 3);
         net.shutdown();
