@@ -366,12 +366,13 @@ fn main() {
         ));
     }
 
-    // Publish-latency comparison: one left-right family against one
-    // persistent (CoW snapshot) family, same data and batch size.
+    // Publish-latency comparison: left-right families (pkd, and p-orth, the
+    // family the benchmark of record serves) against one persistent (CoW
+    // snapshot) family, same data and batch size.
     let publish_rounds = if smoke { 40 } else { 200 };
     let publish_batch = 200.min(n / 4);
     let mut publish_cells: Vec<String> = Vec::new();
-    for family in ["pkd", "cpam-h"] {
+    for family in ["pkd", "p-orth", "cpam-h"] {
         let cell = publish_latency_cell(family, &data, shards, publish_batch, publish_rounds);
         println!(
             "publish  {:<8} mode={:<10} rounds={:<4} mean={:.3}ms p99={:.3}ms",

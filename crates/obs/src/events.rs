@@ -114,22 +114,39 @@ pub fn recent_events(limit: usize) -> Vec<Event> {
 mod tests {
     use super::*;
 
+    /// The ring is process-global: `ring_is_bounded` overwrites all of it, so
+    /// the tests that write into it take turns.
+    fn ring_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn events_ring_and_render() {
-        crate::event!(Info, "test", "hello {}", 42);
-        crate::event!(Info, "test", [("shard", 3), ("epoch", "9")], "publish done");
-        let recent = recent_events(2);
+        let _turn = ring_lock();
+        crate::event!(Info, "render-test", "hello {}", 42);
+        crate::event!(
+            Info,
+            "render-test",
+            [("shard", 3), ("epoch", "9")],
+            "publish done"
+        );
+        let recent: Vec<Event> = recent_events(RING_CAP)
+            .into_iter()
+            .filter(|e| e.target == "render-test")
+            .collect();
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].message, "hello 42");
         assert!(recent[1].seq > recent[0].seq);
         assert_eq!(
             recent[1].render(),
-            format!("[INFO] test: publish done shard=3 epoch=9")
+            format!("[INFO] render-test: publish done shard=3 epoch=9")
         );
     }
 
     #[test]
     fn ring_is_bounded() {
+        let _turn = ring_lock();
         for i in 0..(RING_CAP + 10) {
             emit(Severity::Debug, "bound", format!("e{i}"), Vec::new());
         }

@@ -25,8 +25,8 @@
 //! ```
 
 use psi_geometry::{Coord, KnnHeap, LeafSoA, Point, Rect};
-use psi_parutils::sieve_by;
 use psi_parutils::stats::counters;
+use psi_parutils::{sieve_by, SEQ_THRESHOLD};
 
 /// Tuning parameters of a [`PkdTree`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -381,7 +381,7 @@ fn insert_rec<T: Coord, const D: usize>(
                 return build_rec(&mut all, cfg, depth);
             }
 
-            let (new_left, new_right) = if lbatch.len() + rbatch.len() > 2048 {
+            let (new_left, new_right) = if lbatch.len() + rbatch.len() > SEQ_THRESHOLD {
                 let (l, r) = rayon::join(
                     || insert_rec(*left, lbatch, cfg, depth + 1),
                     || insert_rec(*right, rbatch, cfg, depth + 1),
@@ -437,7 +437,7 @@ fn delete_rec<T: Coord, const D: usize>(
             });
             counters::POINTS_MOVED.add(batch.len() as u64);
             let (lbatch, rbatch) = batch.split_at_mut(offsets[1]);
-            let (new_left, new_right) = if lbatch.len() + rbatch.len() > 2048 {
+            let (new_left, new_right) = if lbatch.len() + rbatch.len() > SEQ_THRESHOLD {
                 rayon::join(
                     || delete_rec(*left, lbatch, cfg, depth + 1),
                     || delete_rec(*right, rbatch, cfg, depth + 1),

@@ -7,7 +7,9 @@
 //! 2. **sieve** the points so every skeleton bucket becomes a contiguous slice
 //!    (one read + one write of the data, the step that replaces "sort by
 //!    Morton code"),
-//! 3. recurse on every non-trivial bucket in parallel,
+//! 3. recurse on every bucket — in parallel when the node holds more than
+//!    [`SEQ_THRESHOLD`] points, sequentially (in bucket order) below that,
+//!    where a fork would cost more than the subtree work it spreads,
 //! 4. assemble the skeleton's internal nodes bottom-up, computing sizes and
 //!    bounding boxes, and flatten any subtree that ended up no larger than the
 //!    leaf wrap `φ`.
@@ -15,8 +17,8 @@
 use crate::node::{child_index, child_region, Node};
 use crate::POrthConfig;
 use psi_geometry::{Coord, Point, Rect};
-use psi_parutils::sieve_by;
 use psi_parutils::stats::counters;
+use psi_parutils::{sieve_by, SEQ_THRESHOLD};
 use rayon::prelude::*;
 
 /// Build a subtree over `points` (which is reordered in place) covering `region`.
@@ -46,22 +48,36 @@ pub fn build_orth<T: Coord, const D: usize>(
     let offsets = sieve_by(points, num_buckets, |p| bucket_of(p, region, levels));
     counters::POINTS_MOVED.add(n as u64);
 
-    // Recurse on each bucket in parallel.
-    let mut slices: Vec<&mut [Point<T, D>]> = Vec::with_capacity(num_buckets);
-    let mut rest = points;
-    for w in offsets.windows(2) {
-        let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-        slices.push(head);
-        rest = tail;
-    }
-    let subtrees: Vec<Node<T, D>> = slices
-        .into_par_iter()
-        .zip(regions.par_iter())
-        .map(|(slice, reg)| build_orth(slice, reg, cfg, depth + levels))
-        .collect();
+    // Recurse on each bucket, forking only when the node is big enough.
+    let slices = split_at_offsets(points, &offsets);
+    let build = |(slice, reg): (&mut [Point<T, D>], &Rect<T, D>)| {
+        build_orth(slice, reg, cfg, depth + levels)
+    };
+    let subtrees: Vec<Node<T, D>> = if n > SEQ_THRESHOLD {
+        slices
+            .into_par_iter()
+            .zip(regions.par_iter())
+            .map(build)
+            .collect()
+    } else {
+        slices.into_iter().zip(regions.iter()).map(build).collect()
+    };
 
     // Assemble the skeleton bottom-up, flattening small subtrees.
     assemble(subtrees, levels, cfg)
+}
+
+/// Cut `points` into the consecutive slices that the sieve `offsets`
+/// (bucket boundaries, one more than the bucket count) delimit.
+pub(crate) fn split_at_offsets<'a, P>(points: &'a mut [P], offsets: &[usize]) -> Vec<&'a mut [P]> {
+    let mut slices = Vec::with_capacity(offsets.len().saturating_sub(1));
+    let mut rest = points;
+    for w in offsets.windows(2) {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+        slices.push(head);
+        rest = tail;
+    }
+    slices
 }
 
 /// Number of levels to build in this round: the configured `λ`, reduced when

@@ -177,7 +177,8 @@ impl<T: Coord, const D: usize> POrthTree<T, D> {
 
     /// Batch insertion (Alg. 2). Points outside the current root region force a
     /// rebuild with an enlarged region; in-region points are sieved down the
-    /// existing structure in parallel.
+    /// existing structure, in parallel wherever a node's share of the batch
+    /// exceeds [`psi_parutils::SEQ_THRESHOLD`] points.
     pub fn batch_insert(&mut self, points: &[Point<T, D>]) {
         if points.is_empty() {
             return;

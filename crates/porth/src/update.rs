@@ -2,18 +2,21 @@
 //! deletion variant).
 //!
 //! Updates reuse the construction machinery: the batch is sieved into the
-//! orthants of the current node and the orthants are processed recursively in
-//! parallel. No rebalancing ever happens — the shape of an Orth-tree depends
+//! orthants of the current node and the orthants are processed recursively —
+//! in parallel when the node's share of the batch exceeds
+//! [`SEQ_THRESHOLD`] points, sequentially (in the same child order) below it,
+//! where a fork would cost more than the subtree work it spreads. No
+//! rebalancing ever happens — the shape of an Orth-tree depends
 //! only on which points it stores — so the only structural maintenance is
 //! re-wrapping leaves (rebuilding a leaf that overflows `φ` on insertion, and
 //! flattening a subtree that shrinks to at most `φ` points on deletion).
 
-use crate::build::{build_orth, make_internal};
+use crate::build::{build_orth, make_internal, split_at_offsets};
 use crate::node::{child_index, child_region, Node};
 use crate::POrthConfig;
 use psi_geometry::{Coord, Point, Rect};
-use psi_parutils::sieve_by;
 use psi_parutils::stats::counters;
+use psi_parutils::{sieve_by, SEQ_THRESHOLD};
 use rayon::prelude::*;
 
 /// Insert `points` (reordered in place) into the subtree `node` covering `region`.
@@ -42,30 +45,12 @@ pub fn batch_insert<T: Coord, const D: usize>(
             bbox,
             size,
         } => {
-            // Sieve the batch into the 2^D orthants of this node and recurse in
-            // parallel (one level per round; the λ-level fused variant is used
-            // for construction, where it matters most).
-            let fanout = 1usize << D;
-            let offsets = sieve_by(points, fanout, |p| child_index(p, region));
-            counters::POINTS_MOVED.add(points.len() as u64);
-
-            let mut slices: Vec<&mut [Point<T, D>]> = Vec::with_capacity(fanout);
-            let mut rest = points;
-            for w in offsets.windows(2) {
-                let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-                slices.push(head);
-                rest = tail;
-            }
-
-            children
-                .par_iter_mut()
-                .zip(slices.into_par_iter())
-                .enumerate()
-                .for_each(|(i, (child, slice))| {
-                    batch_insert(child, slice, &child_region(region, i), cfg, depth + 1);
-                });
-
-            *size = children.iter().map(|c| c.size()).sum();
+            // One level per round; the λ-level fused variant is used for
+            // construction, where it matters most.
+            *size = sum_over_orthants(children, points, region, |child, slice, reg| {
+                batch_insert(child, slice, reg, cfg, depth + 1);
+                child.size()
+            });
             let mut new_bbox = Rect::empty();
             for c in children.iter() {
                 new_bbox = new_bbox.merged(c.bbox());
@@ -102,27 +87,9 @@ pub fn batch_delete<T: Coord, const D: usize>(
             bbox,
             size,
         } => {
-            let fanout = 1usize << D;
-            let offsets = sieve_by(points, fanout, |p| child_index(p, region));
-            counters::POINTS_MOVED.add(points.len() as u64);
-
-            let mut slices: Vec<&mut [Point<T, D>]> = Vec::with_capacity(fanout);
-            let mut rest = points;
-            for w in offsets.windows(2) {
-                let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-                slices.push(head);
-                rest = tail;
-            }
-
-            let removed: usize = children
-                .par_iter_mut()
-                .zip(slices.into_par_iter())
-                .enumerate()
-                .map(|(i, (child, slice))| {
-                    batch_delete(child, slice, &child_region(region, i), cfg)
-                })
-                .sum();
-
+            let removed = sum_over_orthants(children, points, region, |child, slice, reg| {
+                batch_delete(child, slice, reg, cfg)
+            });
             *size -= removed;
             let mut new_bbox = Rect::empty();
             for c in children.iter() {
@@ -138,6 +105,35 @@ pub fn batch_delete<T: Coord, const D: usize>(
             }
             removed
         }
+    }
+}
+
+/// Sieve `points` into the `2^D` orthants of `region`, run `visit` on every
+/// child with its share of the batch and its region, and sum what the visits
+/// return. The children run in parallel only when the batch exceeds
+/// [`SEQ_THRESHOLD`]; a smaller batch never touches the worker pool.
+fn sum_over_orthants<T: Coord, const D: usize>(
+    children: &mut [Node<T, D>],
+    points: &mut [Point<T, D>],
+    region: &Rect<T, D>,
+    visit: impl Fn(&mut Node<T, D>, &mut [Point<T, D>], &Rect<T, D>) -> usize + Sync,
+) -> usize {
+    let n = points.len();
+    let offsets = sieve_by(points, 1usize << D, |p| child_index(p, region));
+    counters::POINTS_MOVED.add(n as u64);
+    let slices = split_at_offsets(points, &offsets);
+    let run = |(i, (child, slice)): (usize, (&mut Node<T, D>, &mut [Point<T, D>]))| {
+        visit(child, slice, &child_region(region, i))
+    };
+    if n > SEQ_THRESHOLD {
+        children
+            .par_iter_mut()
+            .zip(slices.into_par_iter())
+            .enumerate()
+            .map(run)
+            .sum()
+    } else {
+        children.iter_mut().zip(slices).enumerate().map(run).sum()
     }
 }
 

@@ -123,11 +123,15 @@ use std::sync::atomic::{
 };
 use std::sync::{Condvar, Mutex, OnceLock};
 
-// Pool observability: steal traffic, contention, sleep pressure and ring
-// growth, reported into the process-global ψ-obs registry. All four are
-// `LazyCounter`s — the hot-path cost is one initialised-`OnceLock` load
-// plus a striped relaxed `fetch_add`; no lock is ever taken on a
-// push/pop/steal path.
+// Pool observability: job submissions, steal traffic, contention, sleep
+// pressure and ring growth, reported into the process-global ψ-obs
+// registry. All five are `LazyCounter`s — the hot-path cost is one
+// initialised-`OnceLock` load plus a striped relaxed `fetch_add`; no lock is
+// ever taken on a push/pop/steal path.
+static OBS_JOBS: psi_obs::LazyCounter = psi_obs::LazyCounter::new(
+    "psi_pool_jobs_total",
+    "par_* jobs split across pool participants (jobs run inline on the caller are not counted)",
+);
 static OBS_STEALS: psi_obs::LazyCounter = psi_obs::LazyCounter::new(
     "psi_pool_steals_total",
     "tasks claimed from another worker's deque (successful top CAS)",
@@ -1124,6 +1128,7 @@ pub(crate) fn run(n: usize, grain: usize, body: &(dyn Fn(WorkerRanges<'_>) + Syn
 }
 
 fn run_pooled(n: usize, grain: usize, nslots: usize, body: &(dyn Fn(WorkerRanges<'_>) + Sync)) {
+    OBS_JOBS.bump();
     let queues = RangeQueues::new(n, nslots, grain);
     let run_slot = |slot: usize| {
         body(WorkerRanges {

@@ -41,15 +41,17 @@ fn with_threads<R>(t: usize, f: impl FnOnce() -> R + Send) -> R {
 // (a) Parallel results are identical to sequential results.
 // ---------------------------------------------------------------------------
 
-/// Run the same combinator workload under 1 and 4 threads and require equal
-/// outputs; returns the sequential output for further checks.
+/// Run the same combinator workload under 1, 2 and 4 threads and require
+/// equal outputs; returns the sequential output for further checks.
 fn assert_thread_invariant<R: PartialEq + std::fmt::Debug + Send>(
     workload: impl Fn() -> R + Send + Sync,
 ) -> R {
     let _g = override_lock();
     let seq = with_threads(1, &workload);
-    let par = with_threads(4, &workload);
-    assert_eq!(seq, par, "parallel result differs from sequential");
+    for t in [2, 4] {
+        let par = with_threads(t, &workload);
+        assert_eq!(seq, par, "result at {t} threads differs from sequential");
+    }
     seq
 }
 
@@ -192,6 +194,40 @@ fn batch_queries_identical_across_thread_counts_for_registry_families() {
         for (c, l) in counts.iter().zip(lists.iter()) {
             assert_eq!(*c, l.len(), "{name}");
         }
+    }
+}
+
+#[test]
+fn batch_updates_identical_across_thread_counts_for_registry_families() {
+    // Batches of 200 points stay below `SEQ_THRESHOLD` at every node, so the
+    // update recursions run sequentially; batches of 5,000 fork near the
+    // root. Both must leave the same point multiset and the same answers at
+    // every thread count.
+    let data = workloads::uniform::<2>(20_000, 100_000, 31);
+    let small = workloads::uniform::<2>(200, 100_000, 32);
+    let large = workloads::uniform::<2>(5_000, 100_000, 33);
+    let queries = workloads::ind_queries(&data, 300, 34);
+    let opts = BuildOptions::<i64, 2>::with_universe(workloads::universe::<2>(100_000));
+    let deletes = [&data[..200], &data[1_000..6_000]];
+    for name in registry::names() {
+        let workload = || {
+            let mut index = registry::create::<2>(name, &data, &opts).unwrap();
+            let mut removed = Vec::new();
+            for (insert, delete) in [&small[..], &large[..]].into_iter().zip(deletes) {
+                index.batch_insert(insert);
+                index.check_invariants();
+                removed.push(index.batch_delete(delete));
+                index.check_invariants();
+            }
+            let mut points = Vec::new();
+            index.extract_points(&mut points);
+            points.sort();
+            (removed, points, index.knn_batch(&queries, 7))
+        };
+        let (removed, points, knn) = assert_thread_invariant(workload);
+        assert_eq!(removed, vec![200, 5_000], "{name}");
+        assert_eq!(points.len(), 20_000, "{name}");
+        assert_eq!(knn.len(), queries.len(), "{name}");
     }
 }
 
